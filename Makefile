@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke scenario-smoke fuzz-smoke fuzz-corpus race-smoke cover determinism-smoke bench bench-smoke bench-floor bench-full experiments examples clean
+.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke scenario-smoke fuzz-smoke fuzz-corpus race-smoke e2e-smoke cover determinism-smoke bench bench-smoke bench-floor bench-full experiments examples clean
 
 all: build vet lint test
 
@@ -115,11 +115,21 @@ fuzz-corpus:
 	$(GO) run ./cmd/dlc-fuzzcorpus -root .
 
 # Race-detector sweep over the concurrent planes (durable streams, TCP
-# transport + resilient forwarder, DSOS, observability). -count=1 defeats
+# transport + both reconnecting senders, including their churn/Close
+# goroutine-lifecycle and failover switch-back tests, DSOS,
+# observability). -count=1 defeats
 # the test cache so every run actually races; -short keeps soak
 # iterations CI-sized (CI runs this too, as its own matrix leg).
 race-smoke:
 	$(GO) test -race -count=1 -short ./internal/streams ./internal/ldms ./internal/dsos ./internal/obs ./internal/topo
+
+# The end-to-end benchmark (e2ebench/, its own module over this one)
+# wires the daemons from their public constructors; vetting and testing it
+# here (a short run of every workload, CI runs this too, as its own matrix
+# leg) makes a constructor change that breaks the benchmark fail CI
+# rather than the benchmark run.
+e2e-smoke:
+	cd e2ebench && $(GO) vet . && $(GO) test -count=1 .
 
 # Statement coverage with a ratchet: fail if the total drops more than
 # 0.5pt below the checked-in floor (ci/coverage.floor). Raise the floor

@@ -25,31 +25,35 @@
 // By default forwarding is best-effort like LDMS Streams: if the upstream
 // aggregator dies, messages are dropped silently. -reconnect switches the
 // uplink to a ReconnectingForwarder that spools undelivered messages and
-// redials with backoff; -heartbeat adds liveness probes on the link. With
-// -batch/-batch-bytes/-batch-age the resilient uplink coalesces spooled
-// messages into batched frames (count, byte and linger-age flush bounds);
-// typed records cross the wire in compact binary, never as JSON.
+// redials with backoff; -heartbeat adds liveness probes on the link. The
+// resilient uplink always writes batch frames (typed records cross the
+// wire in compact binary, never as JSON); -batch/-batch-bytes/-batch-age
+// set the count, byte and linger-age flush bounds, and with none of them
+// each message goes out as a batch frame of one.
 //
 // -stream upgrades the daemon to durable streaming: every handled message
 // whose subject matches -stream-subjects (comma list, wildcards allowed;
 // default the -tag) is appended to a CRC-framed segment file before
 // best-effort fan-out, retained under the -stream-max-* bounds, and — when
-// -forward is also set — shipped upstream by a consumer-acked uplink that
-// survives crashes: the durable cursor (named by -stream-consumer) resumes
-// exactly where the previous incarnation's acks stopped, so an aggregator
-// or daemon restart costs redelivery, never data. -stream supersedes
-// -reconnect for the uplink (the stream is the spool).
+// -forward is also set — shipped upstream by a consumer-acked uplink: each
+// fetch round goes out as one batch frame and is acked once that frame is
+// flushed to the local socket. The durable cursor (named by
+// -stream-consumer) resumes exactly where the previous incarnation's acks
+// stopped, so a restart of either end costs redelivery of what was never
+// acked. An ack does not yet mean stored: a frame flushed into a
+// connection that dies before the peer reads it is acked but lost.
+// -stream supersedes -reconnect for the uplink (the stream is the spool).
 //
 // -topo-role places the daemon in the explicit aggregation tree of the
 // scale-out control plane: node (leaf), l1 or l2 (aggregation levels).
-// The role requires -stream (the durable cursor is what makes failover
-// exactly-once) and -topo-parent, and conflicts with -forward. With
-// -topo-standby the uplink is wrapped in a failure detector that probes
-// the active upstream and, after three consecutive missed probes,
-// re-homes the durable consumer to the standby — the ack floor survives
-// the switch, so re-homing costs redelivery, never data. Validation is
-// strict: an inconsistent -topo flag set is a startup error, never a
-// silent default.
+// The role requires -stream (the durable cursor is what lets failover keep
+// the ack floor) and -topo-parent, and conflicts with -forward. The uplink
+// is the same stream uplink as -forward; with -topo-standby it switches to
+// the other address after three consecutive failed dials of the active
+// one, in either direction, keeping its one durable consumer — the ack
+// floor survives the switch, so re-homing costs redelivery, never a
+// rewound cursor. Validation is strict: an inconsistent -topo flag set is
+// a startup error, never a silent default.
 package main
 
 import (
@@ -86,7 +90,7 @@ func main() {
 	spoolSize := flag.Int("spool", 1024, "reconnect spool size in messages")
 	spoolPolicy := flag.String("spool-policy", "drop-oldest", "spool overflow policy: drop-oldest, drop-newest or block")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness probe interval on the reconnect uplink (0 = off)")
-	batchRecords := flag.Int("batch", 0, "max records per batched uplink frame (0 = frame per message; needs -reconnect)")
+	batchRecords := flag.Int("batch", 0, "max records per batched uplink frame (0 = one message per frame; needs -reconnect)")
 	batchBytes := flag.Int("batch-bytes", 0, "max payload bytes per batched uplink frame (0 = unbounded)")
 	batchAge := flag.Duration("batch-age", 0, "max linger before a partial batch is flushed (0 = no linger)")
 	seed := flag.Uint64("seed", 0, "sampler RNG seed; 0 derives one from the wall clock (nonreproducible)")
@@ -98,7 +102,7 @@ func main() {
 	streamConsumer := flag.String("stream-consumer", "uplink", "durable consumer name for the stream uplink cursor")
 	topoRole := flag.String("topo-role", "", "aggregation-tree role: node, l1 or l2 (empty = no topology plane)")
 	topoParent := flag.String("topo-parent", "", "upstream daemon address for the -topo-role (replaces -forward)")
-	topoStandby := flag.String("topo-standby", "", "failover upstream address; probed and switched to when the parent dies")
+	topoStandby := flag.String("topo-standby", "", "failover upstream address; switched to after three failed dials of the parent")
 	flag.Parse()
 
 	// Topology flags are validated strictly: a bad combination is a
@@ -204,86 +208,61 @@ func main() {
 	var fwd *ldms.ReconnectingForwarder
 	var uplink *ldms.TCPClient
 	var streamUp *ldms.StreamUplink
-	var failUp *ldms.FailoverUplink
+	parent := *forward
 	if topoCfg.Enabled() {
-		if topoCfg.Standby != "" {
-			var err error
-			failUp, err = ldms.NewFailoverUplink(stream, ldms.FailoverConfig{
-				Primary: topoCfg.Parent,
-				Standby: topoCfg.Standby,
-				Uplink:  ldms.UplinkConfig{Consumer: *streamConsumer},
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer failUp.Close()
-			fmt.Fprintf(os.Stderr, "ldmsd: topo role %q uplink to %s (standby %s, consumer %q)\n",
-				topoCfg.Role, topoCfg.Parent, topoCfg.Standby, *streamConsumer)
-		} else {
-			var err error
-			streamUp, err = ldms.NewStreamUplink(stream, ldms.UplinkConfig{
-				Addr:     topoCfg.Parent,
-				Consumer: *streamConsumer,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer streamUp.Close()
-			fmt.Fprintf(os.Stderr, "ldmsd: topo role %q uplink to %s (no standby, consumer %q)\n",
-				topoCfg.Role, topoCfg.Parent, *streamConsumer)
-		}
+		parent = topoCfg.Parent
 	}
-	if *forward != "" {
-		if stream != nil {
-			var err error
-			streamUp, err = ldms.NewStreamUplink(stream, ldms.UplinkConfig{
-				Addr:     *forward,
-				Consumer: *streamConsumer,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer streamUp.Close()
-			fmt.Fprintf(os.Stderr, "ldmsd: stream uplink to %s (consumer %q, floor %d)\n",
-				*forward, *streamConsumer, streamUp.Stats().Consumer.AckFloor)
-		} else if *reconnect {
-			policy, err := ldms.ParseOverflowPolicy(*spoolPolicy)
-			if err != nil {
-				fatal(err)
-			}
-			batch := event.FlushPolicy{
-				MaxRecords: *batchRecords,
-				MaxBytes:   *batchBytes,
-				MaxAge:     *batchAge,
-			}
-			fwd, err = ldms.NewReconnectingForwarder(d, ldms.ForwarderConfig{
-				Addr:           *forward,
-				Tag:            *tag,
-				SpoolSize:      *spoolSize,
-				Overflow:       policy,
-				HeartbeatEvery: *heartbeat,
-				Batch:          batch,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer fwd.Close()
-			fmt.Fprintf(os.Stderr, "ldmsd: resilient forwarding tag %q to %s (spool %d, %s)\n",
-				*tag, *forward, *spoolSize, policy)
-			if batch.Enabled() {
-				fmt.Fprintf(os.Stderr, "ldmsd: batching uplink frames (max %d records, %d bytes, linger %s)\n",
-					*batchRecords, *batchBytes, *batchAge)
-			}
-		} else {
-			client, err := ldms.DialTCP(*forward)
-			if err != nil {
-				fatal(err)
-			}
-			defer client.Close()
-			ldms.ForwardTCP(d, *tag, client)
-			uplink = client
-			fmt.Fprintf(os.Stderr, "ldmsd: forwarding tag %q to %s\n", *tag, *forward)
+	switch {
+	case stream != nil && parent != "":
+		var err error
+		streamUp, err = ldms.NewStreamUplink(stream, ldms.UplinkConfig{
+			Addr:     parent,
+			Standby:  topoCfg.Standby,
+			Consumer: *streamConsumer,
+		})
+		if err != nil {
+			fatal(err)
 		}
+		defer streamUp.Close()
+		fmt.Fprintf(os.Stderr, "ldmsd: stream uplink to %s (standby %q, consumer %q, floor %d)\n",
+			parent, topoCfg.Standby, *streamConsumer, streamUp.Stats().Consumer.AckFloor)
+	case *forward != "" && *reconnect:
+		policy, err := ldms.ParseOverflowPolicy(*spoolPolicy)
+		if err != nil {
+			fatal(err)
+		}
+		batch := event.FlushPolicy{
+			MaxRecords: *batchRecords,
+			MaxBytes:   *batchBytes,
+			MaxAge:     *batchAge,
+		}
+		fwd, err = ldms.NewReconnectingForwarder(d, ldms.ForwarderConfig{
+			Addr:           *forward,
+			Tag:            *tag,
+			SpoolSize:      *spoolSize,
+			Overflow:       policy,
+			HeartbeatEvery: *heartbeat,
+			Batch:          batch,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		defer fwd.Close()
+		fmt.Fprintf(os.Stderr, "ldmsd: resilient forwarding tag %q to %s (spool %d, %s)\n",
+			*tag, *forward, *spoolSize, policy)
+		if batch.Enabled() {
+			fmt.Fprintf(os.Stderr, "ldmsd: batching uplink frames (max %d records, %d bytes, linger %s)\n",
+				*batchRecords, *batchBytes, *batchAge)
+		}
+	case *forward != "":
+		client, err := ldms.DialTCP(*forward)
+		if err != nil {
+			fatal(err)
+		}
+		defer client.Close()
+		ldms.ForwardTCP(d, *tag, client)
+		uplink = client
+		fmt.Fprintf(os.Stderr, "ldmsd: forwarding tag %q to %s\n", *tag, *forward)
 	}
 
 	srv, err := ldms.ListenTCP(d, *listen)
@@ -313,6 +292,9 @@ func main() {
 		if uplink != nil {
 			uplink.Collect(reg, "uplink")
 		}
+		if streamUp != nil {
+			streamUp.Collect(reg, "uplink")
+		}
 		if stream != nil {
 			stream.Collect(reg)
 		}
@@ -340,14 +322,10 @@ func main() {
 				line += fmt.Sprintf(" fwd-sent=%d fwd-spool=%d fwd-dropped=%d fwd-reconnects=%d connected=%v",
 					st.Sent, st.SpoolDepth, st.Dropped, st.Reconnects, st.Connected)
 			}
-			if failUp != nil {
-				st := failUp.Stats()
-				line += fmt.Sprintf(" topo-active=%s topo-switches=%d topo-floor=%d topo-lag=%d",
-					st.Active, st.Switches, st.Uplink.Consumer.AckFloor, st.Uplink.Consumer.Lag)
-			} else if streamUp != nil {
+			if streamUp != nil {
 				st := streamUp.Stats()
-				line += fmt.Sprintf(" stream-sent=%d stream-lag=%d stream-floor=%d connected=%v",
-					st.Sent, st.Consumer.Lag, st.Consumer.AckFloor, st.Connected)
+				line += fmt.Sprintf(" stream-sent=%d stream-lag=%d stream-floor=%d connected=%v active=%s switches=%d",
+					st.Sent, st.Consumer.Lag, st.Consumer.AckFloor, st.Connected, st.Active, st.Switches)
 			} else if stream != nil {
 				st := stream.Stats()
 				line += fmt.Sprintf(" stream-msgs=%d stream-dropped=%d", st.Msgs, st.Dropped)
@@ -364,9 +342,6 @@ func main() {
 			if streamUp != nil {
 				// Best effort: whatever is not acked resumes next start.
 				_ = streamUp.Flush(5 * time.Second)
-			}
-			if failUp != nil {
-				_ = failUp.Flush(5 * time.Second)
 			}
 			fmt.Fprintf(os.Stderr, "ldmsd: shutting down after %d messages\n", srv.Received())
 			return

@@ -20,8 +20,8 @@ import (
 //
 // The identity rides out-of-band on the streams message, so dedup never
 // touches the payload: typed records pass through without being encoded
-// or parsed, and a batch-frame replay dedups per record exactly like the
-// legacy frame-per-message replay.
+// or parsed, and a batch-frame replay dedups per record, whatever the
+// frame boundaries.
 //
 // The identity is remembered in a per-producer seen-set, not a high-water
 // mark: latency spikes can reorder fresh messages across hops, and a

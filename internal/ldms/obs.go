@@ -41,9 +41,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // Collect exports the forwarder's counters under labels {fwd="<name>"}:
-// spool depth/capacity/overflow, reconnects, replay, heartbeat and wire
-// activity. Everything is read from the snapshot the forwarder already
-// keeps, at scrape time only.
+// spool depth/capacity/overflow, replay and heartbeat activity, plus the
+// link's dial, connection and wire series. Everything is read from the
+// snapshots the forwarder and its link already keep, at scrape time only.
 func (f *ReconnectingForwarder) Collect(reg *obs.Registry, name string) {
 	if reg == nil {
 		return
@@ -55,21 +55,29 @@ func (f *ReconnectingForwarder) Collect(reg *obs.Registry, name string) {
 		emit("dlc_fwd_sent_total"+labels, float64(st.Sent))
 		emit("dlc_fwd_dropped_total"+labels, float64(st.Dropped))
 		emit("dlc_fwd_retries_total"+labels, float64(st.Retries))
-		emit("dlc_fwd_dials_total"+labels, float64(st.Dials))
-		emit("dlc_fwd_reconnects_total"+labels, float64(st.Reconnects))
 		emit("dlc_fwd_heartbeats_total"+labels, float64(st.Heartbeats))
 		emit("dlc_fwd_replayed_total"+labels, float64(st.Replayed))
 		emit("dlc_fwd_spool_depth"+labels, float64(st.SpoolDepth))
 		emit("dlc_fwd_spool_capacity"+labels, float64(f.cfg.SpoolSize))
-		connected := 0.0
-		if st.Connected {
-			connected = 1
-		}
-		emit("dlc_fwd_connected"+labels, connected)
-		emit("dlc_fwd_wire_bytes_total"+labels, float64(f.wireBytes.Load()))
-		emit("dlc_fwd_frames_total"+labels, float64(f.framesOut.Load()))
-		emit("dlc_fwd_batch_frames_total"+labels, float64(f.batchFramesOut.Load()))
 	})
+	f.link.collect(reg, "dlc_fwd_", labels)
+}
+
+// Collect exports the uplink's counters under labels {uplink="<name>"}:
+// sent, naks and oversize drops, plus the link's dial, connection,
+// failover and wire series.
+func (u *StreamUplink) Collect(reg *obs.Registry, name string) {
+	if reg == nil {
+		return
+	}
+	labels := `{uplink="` + name + `"}`
+	reg.RegisterCollector(func(emit func(string, float64)) {
+		st := u.Stats()
+		emit("dlc_uplink_sent_total"+labels, float64(st.Sent))
+		emit("dlc_uplink_naks_total"+labels, float64(st.Naks))
+		emit("dlc_uplink_oversize_total"+labels, float64(st.Oversize))
+	})
+	u.link.collect(reg, "dlc_uplink_", labels)
 }
 
 // SpoolHealth returns a /healthz probe that fails when the spool has

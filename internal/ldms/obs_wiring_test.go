@@ -9,6 +9,7 @@ import (
 
 	"darshanldms/internal/dsos"
 	"darshanldms/internal/obs"
+	"darshanldms/internal/sos"
 	"darshanldms/internal/streams"
 )
 
@@ -65,7 +66,15 @@ func healthCode(h *obs.Health) int {
 }
 
 func TestLdmsdMetricsEndpointShape(t *testing.T) {
-	// Upstream aggregator the resilient uplink forwards to.
+	for _, mode := range []string{"reconnect", "stream"} {
+		t.Run(mode, func(t *testing.T) { testLdmsdMetrics(t, mode) })
+	}
+}
+
+// testLdmsdMetrics wires a node daemon exactly like `ldmsd -http
+// -reconnect` or `ldmsd -http -stream -forward` and scrapes it.
+func testLdmsdMetrics(t *testing.T, mode string) {
+	// Upstream aggregator the uplink forwards to.
 	up := NewDaemon("agg", "head")
 	upSrv, err := ListenTCP(up, "127.0.0.1:0")
 	if err != nil {
@@ -73,17 +82,9 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 	}
 	defer upSrv.Close()
 
-	// The node daemon, wired exactly like `ldmsd -http -reconnect`.
 	d := NewDaemon("ldmsd", "nid00001")
 	count := &CountStore{}
 	d.AttachStore("darshanConnector", count)
-	fwd, err := NewReconnectingForwarder(d, ForwarderConfig{
-		Addr: upSrv.Addr(), Tag: "darshanConnector", SpoolSize: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fwd.Close()
 	srv, err := ListenTCP(d, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -101,9 +102,39 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 		emit("dlc_store_count_messages_total", float64(count.Count()))
 		emit("dlc_store_count_bytes_total", float64(count.Bytes()))
 	})
-	fwd.Collect(reg, "uplink")
 	health := obs.NewHealth()
-	health.Register("spool", fwd.SpoolHealth())
+	var uplinkPrefix string
+	switch mode {
+	case "reconnect":
+		fwd, err := NewReconnectingForwarder(d, ForwarderConfig{
+			Addr: upSrv.Addr(), Tag: "darshanConnector", SpoolSize: 64,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fwd.Close()
+		fwd.Collect(reg, "uplink")
+		health.Register("spool", fwd.SpoolHealth())
+		uplinkPrefix = "dlc_fwd_"
+	case "stream":
+		s, err := streams.OpenStream(streams.StreamConfig{
+			Name: "ldmsd", Subjects: []string{"darshanConnector"}, Clock: clock,
+		}, sos.NewMemWAL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Bus().BindStream(s); err != nil {
+			t.Fatal(err)
+		}
+		u, err := NewStreamUplink(s, UplinkConfig{Addr: upSrv.Addr(), Consumer: "uplink"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer u.Close()
+		s.Collect(reg)
+		u.Collect(reg, "uplink")
+		uplinkPrefix = "dlc_uplink_"
+	}
 
 	client, err := DialTCP(srv.Addr())
 	if err != nil {
@@ -118,7 +149,7 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for count.Count() < 20 && time.Now().Before(deadline) {
+	for (count.Count() < 20 || upSrv.Received() < 20) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -127,7 +158,7 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 		t.Fatalf("ldmsd /metrics serves %d series, want >= 30", len(series))
 	}
 	wantStagePrefixes(t, series, []string{
-		"dlc_bus_", "dlc_tcp_", "dlc_fwd_", "dlc_pool_", "dlc_store_count_",
+		"dlc_bus_", "dlc_tcp_", uplinkPrefix, "dlc_pool_", "dlc_store_count_",
 	})
 	if got := series[`dlc_tcp_received_total{srv="ldmsd"}`]; got != "20" {
 		t.Errorf(`dlc_tcp_received_total{srv="ldmsd"} = %s, want 20`, got)
@@ -135,9 +166,20 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 	if got := series["dlc_store_count_messages_total"]; got != "20" {
 		t.Errorf("dlc_store_count_messages_total = %s, want 20", got)
 	}
-	if code := healthCode(health); code != http.StatusOK {
-		t.Errorf("/healthz = %d with a healthy spool, want 200", code)
+	if got := series[uplinkPrefix+`sent_total{`+mode2label(mode)+`="uplink"}`]; got != "20" {
+		t.Errorf("%ssent_total = %s, want 20", uplinkPrefix, got)
 	}
+	if code := healthCode(health); code != http.StatusOK {
+		t.Errorf("/healthz = %d with a healthy uplink, want 200", code)
+	}
+}
+
+// mode2label is the label key each uplink kind exports its series under.
+func mode2label(mode string) string {
+	if mode == "stream" {
+		return "uplink"
+	}
+	return "fwd"
 }
 
 func TestDsosdMetricsEndpointShape(t *testing.T) {

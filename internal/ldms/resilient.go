@@ -1,17 +1,14 @@
 package ldms
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"darshanldms/internal/event"
-	"darshanldms/internal/rng"
 	"darshanldms/internal/streams"
 )
 
@@ -67,14 +64,12 @@ type ForwarderConfig struct {
 	Addr string // remote daemon address (required)
 	Tag  string // stream tag to forward (required)
 
-	// Reconnect backoff: delays grow InitialBackoff, xMultiplier, ... up
-	// to MaxBackoff, each scaled by a uniform ±Jitter fraction so that a
-	// daemon restart is not greeted by a synchronized thundering herd.
-	InitialBackoff    time.Duration // default 50ms
-	MaxBackoff        time.Duration // default 5s
-	BackoffMultiplier float64       // default 2.0
-	Jitter            float64       // default 0.2 (±20%)
-	DialTimeout       time.Duration // default 2s
+	// Reconnect backoff: delays double from InitialBackoff up to
+	// MaxBackoff, each scaled by a uniform ±20% jitter so that a daemon
+	// restart is not greeted by a synchronized thundering herd.
+	InitialBackoff time.Duration // default 50ms
+	MaxBackoff     time.Duration // default 5s
+	DialTimeout    time.Duration // default 2s
 
 	// SpoolSize bounds the in-memory spool of undelivered messages;
 	// Overflow selects the policy when it fills. Default 1024 messages.
@@ -95,13 +90,12 @@ type ForwarderConfig struct {
 	// DedupStore to make the path exactly-once.
 	ReplayLast int
 
-	// Batch, when enabled (see event.FlushPolicy.Enabled), drains the
-	// spool in batches sent as single batch frames: up to MaxRecords /
-	// MaxBytes per flush, waiting at most MaxAge for a partial batch to
-	// fill once the first message is in hand. Batches form naturally
-	// under backpressure — a deep spool yields full batches, an idle one
-	// yields batches of one after at most MaxAge. The zero value keeps
-	// the legacy one-frame-per-message wire behavior.
+	// Batch drains the spool in batches, each sent as one batch frame:
+	// up to MaxRecords / MaxBytes per flush, waiting at most MaxAge for a
+	// partial batch to fill once the first message is in hand. Batches
+	// form naturally under backpressure — a deep spool yields full
+	// batches, an idle one yields batches of one after at most MaxAge.
+	// The zero value is full at one record: one message per batch frame.
 	Batch event.FlushPolicy
 
 	// Seed seeds the jitter stream; a fixed seed gives a reproducible
@@ -109,35 +103,11 @@ type ForwarderConfig struct {
 	Seed uint64
 }
 
-func (cfg *ForwarderConfig) setDefaults() {
-	if cfg.InitialBackoff <= 0 {
-		cfg.InitialBackoff = 50 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
-	}
-	if cfg.BackoffMultiplier < 1 {
-		cfg.BackoffMultiplier = 2.0
-	}
-	if cfg.Jitter <= 0 || cfg.Jitter > 1 {
-		cfg.Jitter = 0.2
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.SpoolSize <= 0 {
-		cfg.SpoolSize = 1024
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = uint64(time.Now().UnixNano())
-	}
-}
-
 // ForwarderStats is a snapshot of a forwarder's counters.
 type ForwarderStats struct {
 	Enqueued   uint64 // messages accepted from the bus
 	Sent       uint64 // messages delivered to the remote daemon
-	Dropped    uint64 // spool-overflow drops (also folded into bus stats)
+	Dropped    uint64 // spool-overflow and oversize drops (also folded into bus stats)
 	Retries    uint64 // send attempts that failed and were retried
 	Dials      uint64 // connection attempts that succeeded
 	Reconnects uint64 // successful dials after the first
@@ -153,41 +123,23 @@ type ForwarderStats struct {
 // exponential backoff and jitter, and are resent once the link returns.
 // Delivery is at-least-once: a message in flight when the link breaks may
 // be duplicated after reconnect, never silently lost (unless the spool
-// overflows, which is counted).
+// overflows or the message cannot fit a frame, both counted).
 type ReconnectingForwarder struct {
 	cfg  ForwarderConfig
 	from *Daemon
 	sub  *streams.Subscription
+	link *link
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	spool    []streams.Message
-	inflight int // messages popped from the spool, not yet sent or dropped
-	closed   bool
-	enqueued uint64
-	sent     uint64
-	dropped  uint64
-	retries  uint64
-
-	connMu     sync.Mutex
-	conn       net.Conn
-	bw         *bufio.Writer
-	jr         *rng.Stream
-	dials      uint64
+	mu         sync.Mutex
+	cond       *sync.Cond
+	spool      []streams.Message
+	inflight   int // messages popped from the spool, not yet sent or dropped
+	closed     bool
+	enqueued   uint64
+	sent       uint64
+	dropped    uint64
+	retries    uint64
 	heartbeats uint64
-	// Reconnect-replay state (ReplayLast > 0): ring of the most recently
-	// sent messages, and whether a live connection has died since the last
-	// successful send — the signal that the tail must be re-covered.
-	ring          []streams.Message
-	replayPending bool
-	replayed      uint64
-
-	// Wire accounting for the obs plane: bytes actually written to the
-	// socket (headers included) and frames by kind. Atomic so Collect
-	// reads them without touching the forwarder locks.
-	wireBytes      atomic.Uint64
-	framesOut      atomic.Uint64
-	batchFramesOut atomic.Uint64
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -205,13 +157,22 @@ func NewReconnectingForwarder(from *Daemon, cfg ForwarderConfig) (*ReconnectingF
 	if cfg.Tag == "" {
 		return nil, errors.New("ldms: forwarder needs a tag")
 	}
-	cfg.setDefaults()
+	if cfg.SpoolSize <= 0 {
+		cfg.SpoolSize = 1024
+	}
 	f := &ReconnectingForwarder{
 		cfg:  cfg,
 		from: from,
-		jr:   rng.New(cfg.Seed),
 		done: make(chan struct{}),
 	}
+	f.link = newLink(linkConfig{
+		addrs:          [2]string{cfg.Addr},
+		initialBackoff: cfg.InitialBackoff,
+		maxBackoff:     cfg.MaxBackoff,
+		dialTimeout:    cfg.DialTimeout,
+		replayLast:     cfg.ReplayLast,
+		seed:           cfg.Seed,
+	}, f.done, &f.wg)
 	f.cond = sync.NewCond(&f.mu)
 	f.sub = from.Bus().Subscribe(cfg.Tag, f.enqueue)
 	f.wg.Add(1)
@@ -267,26 +228,17 @@ func (f *ReconnectingForwarder) dropLocked(n uint64) {
 	f.from.Bus().NoteDrops(f.cfg.Tag, n)
 }
 
-// run is the delivery worker: take the spool head (or a batch of it),
-// send it (reconnecting as needed), repeat.
+// run is the delivery worker: take a batch of the spool, send it
+// (reconnecting as needed), repeat.
 func (f *ReconnectingForwarder) run() {
 	defer f.wg.Done()
-	batching := f.cfg.Batch.Enabled()
 	for {
-		if batching {
-			b, ok := f.takeBatch()
-			if !ok {
-				return
-			}
-			f.deliverBatch(b.Messages())
-			batchPool.Put(b)
-		} else {
-			m, ok := f.take()
-			if !ok {
-				return
-			}
-			f.deliver(m)
+		b, ok := f.takeBatch()
+		if !ok {
+			return
 		}
+		f.deliver(b.Messages())
+		batchPool.Put(b)
 		f.mu.Lock()
 		f.inflight = 0
 		f.cond.Broadcast()
@@ -352,247 +304,45 @@ func (f *ReconnectingForwarder) takeBatch() (*event.Batch, bool) {
 	return b, true
 }
 
-// deliverBatch sends msgs as one batch frame, dialing and backing off
-// until it succeeds or the forwarder closes.
-func (f *ReconnectingForwarder) deliverBatch(msgs []streams.Message) {
-	backoff := f.cfg.InitialBackoff
+// deliver sends msgs through the link, backing off between attempts
+// until it succeeds or the forwarder closes. Messages too large for any
+// frame are dropped (counted) rather than retried.
+func (f *ReconnectingForwarder) deliver(msgs []streams.Message) {
 	for {
-		select {
-		case <-f.done:
-			f.mu.Lock()
-			f.dropLocked(uint64(len(msgs)))
-			f.mu.Unlock()
-			return
-		default:
+		oversize, err := f.link.write(msgs)
+		f.mu.Lock()
+		if len(oversize) > 0 {
+			f.dropLocked(uint64(len(oversize)))
+			msgs = without(msgs, oversize)
 		}
-		if err := f.sendBatchFrame(msgs); err == nil {
-			f.mu.Lock()
+		if err == nil {
 			f.sent += uint64(len(msgs))
 			f.mu.Unlock()
 			return
 		}
-		f.mu.Lock()
 		f.retries++
 		f.mu.Unlock()
-		if !f.pause(f.jitter(backoff)) {
+		if !f.link.wait() {
 			f.mu.Lock()
 			f.dropLocked(uint64(len(msgs)))
 			f.mu.Unlock()
 			return
 		}
-		backoff = time.Duration(float64(backoff) * f.cfg.BackoffMultiplier)
-		if backoff > f.cfg.MaxBackoff {
-			backoff = f.cfg.MaxBackoff
-		}
 	}
 }
 
-// sendBatchFrame writes msgs as one batch frame on the current
-// connection, dialing first if necessary; the reconnect tail replay is
-// itself a single batch frame.
-func (f *ReconnectingForwarder) sendBatchFrame(msgs []streams.Message) error {
-	f.connMu.Lock()
-	defer f.connMu.Unlock()
-	if err := f.ensureConnLocked(); err != nil {
-		return err
-	}
-	if f.replayPending {
-		if err := WriteBatchFrame(f.bw, f.ring); err != nil {
-			f.teardownLocked()
-			return err
+// without removes the messages at the ascending indexes idx from msgs,
+// in place, keeping the order of the rest.
+func without(msgs []streams.Message, idx []int) []streams.Message {
+	out := msgs[:0]
+	for i, m := range msgs {
+		if len(idx) > 0 && idx[0] == i {
+			idx = idx[1:]
+			continue
 		}
-		f.batchFramesOut.Add(1)
-		f.replayed += uint64(len(f.ring))
-		f.replayPending = false
+		out = append(out, m)
 	}
-	if err := WriteBatchFrame(f.bw, msgs); err != nil {
-		f.teardownLocked()
-		return err
-	}
-	f.batchFramesOut.Add(1)
-	if err := f.bw.Flush(); err != nil {
-		f.teardownLocked()
-		return err
-	}
-	if f.cfg.ReplayLast > 0 {
-		for _, m := range msgs {
-			if m.Tag == HeartbeatTag {
-				continue
-			}
-			f.ring = append(f.ring, m)
-			if len(f.ring) > f.cfg.ReplayLast {
-				f.ring = f.ring[1:]
-			}
-		}
-	}
-	return nil
-}
-
-// take pops the spool head, blocking until a message arrives or Close.
-func (f *ReconnectingForwarder) take() (streams.Message, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for len(f.spool) == 0 && !f.closed {
-		f.cond.Wait()
-	}
-	if len(f.spool) == 0 {
-		return streams.Message{}, false
-	}
-	m := f.spool[0]
-	f.spool = f.spool[1:]
-	f.inflight = 1
-	f.cond.Broadcast() // space freed for Block publishers
-	return m, true
-}
-
-// deliver sends m, dialing and backing off until it succeeds or the
-// forwarder closes.
-func (f *ReconnectingForwarder) deliver(m streams.Message) {
-	backoff := f.cfg.InitialBackoff
-	for {
-		select {
-		case <-f.done:
-			f.mu.Lock()
-			f.dropLocked(1)
-			f.mu.Unlock()
-			return
-		default:
-		}
-		if err := f.sendFrame(m); err == nil {
-			f.mu.Lock()
-			f.sent++
-			f.mu.Unlock()
-			return
-		}
-		f.mu.Lock()
-		f.retries++
-		f.mu.Unlock()
-		if !f.pause(f.jitter(backoff)) {
-			f.mu.Lock()
-			f.dropLocked(1)
-			f.mu.Unlock()
-			return
-		}
-		backoff = time.Duration(float64(backoff) * f.cfg.BackoffMultiplier)
-		if backoff > f.cfg.MaxBackoff {
-			backoff = f.cfg.MaxBackoff
-		}
-	}
-}
-
-// jitter scales d by a uniform factor in [1-Jitter, 1+Jitter).
-func (f *ReconnectingForwarder) jitter(d time.Duration) time.Duration {
-	f.connMu.Lock()
-	u := f.jr.Float64()
-	f.connMu.Unlock()
-	scale := 1 + f.cfg.Jitter*(2*u-1)
-	return time.Duration(float64(d) * scale)
-}
-
-// pause sleeps for d, returning false if the forwarder closed meanwhile.
-func (f *ReconnectingForwarder) pause(d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-f.done:
-		return false
-	}
-}
-
-// sendFrame writes one frame on the current connection, dialing first if
-// necessary. Any error tears the connection down for a fresh dial. On a
-// reconnect with ReplayLast set, the recent tail is re-sent before m.
-func (f *ReconnectingForwarder) sendFrame(m streams.Message) error {
-	f.connMu.Lock()
-	defer f.connMu.Unlock()
-	if err := f.ensureConnLocked(); err != nil {
-		return err
-	}
-	if f.replayPending {
-		for _, r := range f.ring {
-			if err := WriteFrame(f.bw, r); err != nil {
-				f.teardownLocked()
-				return err
-			}
-			f.framesOut.Add(1)
-			f.replayed++
-		}
-		f.replayPending = false
-	}
-	if err := WriteFrame(f.bw, m); err != nil {
-		f.teardownLocked()
-		return err
-	}
-	f.framesOut.Add(1)
-	if err := f.bw.Flush(); err != nil {
-		f.teardownLocked()
-		return err
-	}
-	if f.cfg.ReplayLast > 0 && m.Tag != HeartbeatTag {
-		f.ring = append(f.ring, m)
-		if len(f.ring) > f.cfg.ReplayLast {
-			f.ring = f.ring[1:]
-		}
-	}
-	return nil
-}
-
-// ensureConnLocked dials if there is no live connection (connMu held).
-func (f *ReconnectingForwarder) ensureConnLocked() error {
-	if f.conn != nil {
-		return nil
-	}
-	// Refuse to dial once Close has fired: a late redial would spawn a
-	// monitor goroutine after wg.Wait already returned, leaking it (and
-	// the connection) past Close.
-	select {
-	case <-f.done:
-		return net.ErrClosed
-	default:
-	}
-	conn, err := net.DialTimeout("tcp", f.cfg.Addr, f.cfg.DialTimeout)
-	if err != nil {
-		return err
-	}
-	f.conn = conn
-	f.bw = bufio.NewWriter(&countingWriter{w: conn, n: &f.wireBytes})
-	f.dials++
-	// The server never writes application data back; a read can only
-	// return when the peer closes or resets, which is exactly the signal
-	// the monitor turns into prompt disconnect detection. Close joins it
-	// through wg after teardownLocked unblocks the Read.
-	f.wg.Add(1)
-	go f.monitor(conn)
-	return nil
-}
-
-// monitor marks the connection dead as soon as the peer closes it.
-func (f *ReconnectingForwarder) monitor(conn net.Conn) {
-	defer f.wg.Done()
-	var b [1]byte
-	conn.Read(b[:]) // blocks until close/reset (server sends nothing)
-	f.connMu.Lock()
-	if f.conn == conn {
-		f.teardownLocked()
-	}
-	f.connMu.Unlock()
-}
-
-// teardownLocked closes and forgets the current connection (connMu held).
-func (f *ReconnectingForwarder) teardownLocked() {
-	if f.conn != nil {
-		f.conn.Close()
-		f.conn = nil
-		f.bw = nil
-		if f.cfg.ReplayLast > 0 && len(f.ring) > 0 {
-			f.replayPending = true
-		}
-	}
+	return out
 }
 
 // heartbeatLoop periodically probes (and if needed establishes) the link.
@@ -600,16 +350,16 @@ func (f *ReconnectingForwarder) heartbeatLoop() {
 	defer f.wg.Done()
 	tick := time.NewTicker(f.cfg.HeartbeatEvery)
 	defer tick.Stop()
-	hb := streams.Message{Tag: HeartbeatTag, Type: streams.TypeString, Data: []byte("ping")}
+	hb := []streams.Message{{Tag: HeartbeatTag, Type: streams.TypeString, Data: []byte("ping")}}
 	for {
 		select {
 		case <-f.done:
 			return
 		case <-tick.C:
-			if err := f.sendFrame(hb); err == nil {
-				f.connMu.Lock()
+			if _, err := f.link.write(hb); err == nil {
+				f.mu.Lock()
 				f.heartbeats++
-				f.connMu.Unlock()
+				f.mu.Unlock()
 			}
 		}
 	}
@@ -617,25 +367,21 @@ func (f *ReconnectingForwarder) heartbeatLoop() {
 
 // Stats returns a snapshot of the forwarder's counters.
 func (f *ReconnectingForwarder) Stats() ForwarderStats {
+	ls := f.link.stats()
 	f.mu.Lock()
-	st := ForwarderStats{
+	defer f.mu.Unlock()
+	return ForwarderStats{
 		Enqueued:   f.enqueued,
 		Sent:       f.sent,
 		Dropped:    f.dropped,
 		Retries:    f.retries,
+		Dials:      ls.Dials,
+		Reconnects: ls.Reconnects,
+		Heartbeats: f.heartbeats,
+		Replayed:   ls.Replayed,
 		SpoolDepth: len(f.spool) + f.inflight,
+		Connected:  ls.Connected,
 	}
-	f.mu.Unlock()
-	f.connMu.Lock()
-	st.Dials = f.dials
-	if f.dials > 0 {
-		st.Reconnects = f.dials - 1
-	}
-	st.Heartbeats = f.heartbeats
-	st.Replayed = f.replayed
-	st.Connected = f.conn != nil
-	f.connMu.Unlock()
-	return st
 }
 
 // Flush waits until the spool has fully drained (every accepted message
@@ -671,9 +417,7 @@ func (f *ReconnectingForwarder) Close() error {
 	f.cond.Broadcast()
 	f.mu.Unlock()
 	f.sub.Close()
-	f.connMu.Lock()
-	f.teardownLocked()
-	f.connMu.Unlock()
+	f.link.close()
 	f.wg.Wait()
 	return nil
 }

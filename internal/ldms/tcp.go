@@ -153,7 +153,7 @@ func (s *TCPServer) LastActivity() time.Time {
 
 // DropConnections forcibly closes every live connection while keeping the
 // listener up — the "TCP connection kill" fault. Clients without reconnect
-// lose the link silently; a ReconnectingForwarder redials.
+// lose the link silently; the reconnecting senders redial.
 func (s *TCPServer) DropConnections() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -101,8 +101,13 @@ func AppendBatch(b []byte, msgs []streams.Message) []byte {
 	return b
 }
 
+// errFrameTooLarge marks a batch whose frame would exceed MaxFrame;
+// nothing was written, so the caller may split the batch and retry.
+var errFrameTooLarge = errors.New("ldms: batch frame too large")
+
 // WriteBatchFrame writes msgs as one batch frame. An empty batch is
-// rejected, mirroring WriteFrame's zero-length rule.
+// rejected, mirroring WriteFrame's zero-length rule; a batch whose frame
+// would exceed MaxFrame is rejected before anything is written.
 func WriteBatchFrame(w io.Writer, msgs []streams.Message) error {
 	if len(msgs) == 0 {
 		return errors.New("ldms: empty batch frame")
@@ -113,7 +118,7 @@ func WriteBatchFrame(w io.Writer, msgs []streams.Message) error {
 	payloadLen := len(buf) - 6
 	if payloadLen > maxFrame {
 		framePool.Put(buf)
-		return fmt.Errorf("ldms: batch frame too large (%d bytes)", payloadLen)
+		return fmt.Errorf("%w (%d bytes)", errFrameTooLarge, payloadLen)
 	}
 	binary.BigEndian.PutUint32(buf[2:6], uint32(payloadLen))
 	_, err := w.Write(buf)

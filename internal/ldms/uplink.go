@@ -1,14 +1,11 @@
 package ldms
 
 import (
-	"bufio"
 	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"darshanldms/internal/rng"
 	"darshanldms/internal/streams"
 )
 
@@ -16,44 +13,42 @@ import (
 // sourcing from a named streams.Consumer instead of a volatile bus
 // subscription. Where the ReconnectingForwarder's spool dies with the
 // process (bounded memory, counted drops), the uplink's backlog is the
-// stream itself: a message is acked only after its frame reached the
-// socket, so a crash — of the uplink, the process, or the whole node —
-// resumes from the durable cursor and re-sends anything unacked.
-// Delivery is therefore at-least-once end to end; pair the receiving
-// store with a DedupStore for exactly-once effect.
+// stream itself: each fetch round goes out as one batch frame and is
+// acked once that frame was flushed to the local socket, so a crash —
+// of the uplink, the process, or the whole node — resumes from the
+// durable cursor and re-sends anything unacked. Delivery is therefore
+// at-least-once as far as the socket; pair the receiving store with a
+// DedupStore for exactly-once effect. An ack does not mean stored: a
+// frame flushed into a connection that then dies is acked but lost.
+//
+// With a Standby address the uplink fails over: after failAfter
+// consecutive failed dials of the active address it dials the other
+// one, in either direction. The one durable consumer, and with it the
+// ack floor, survives every switch: messages unacked at the switch are
+// redelivered to the new upstream, and the floor never regresses.
 type StreamUplink struct {
-	cfg    UplinkConfig
-	stream *streams.DurableStream
-	cons   *streams.Consumer
-	jr     *rng.Stream
+	cfg  UplinkConfig
+	cons *streams.Consumer
+	link *link
 
-	connMu sync.Mutex
-	conn   net.Conn
-	bw     *bufio.Writer
-	dials  uint64
+	sent, naks, oversize atomic.Uint64
 
-	mu     sync.Mutex
-	sent   uint64
-	naks   uint64
-	closed bool
-
-	wireBytes atomic.Uint64
-	framesOut atomic.Uint64
-
-	done chan struct{}
-	wg   sync.WaitGroup
+	done      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // UplinkConfig parameterizes a StreamUplink. The zero value of every
 // optional field selects a sensible default.
 type UplinkConfig struct {
 	Addr     string // remote daemon address (required)
+	Standby  string // failover address (optional; must differ from Addr)
 	Consumer string // durable consumer name (default "uplink")
 	Filter   string // consumer subject filter (default everything)
 
-	// BatchSize bounds how many messages one fetch round sends (default
-	// 64); MaxInflight bounds the consumer's unacked window (default
-	// 2 x BatchSize).
+	// BatchSize bounds how many messages one fetch round — one batch
+	// frame — carries (default 64); MaxInflight bounds the consumer's
+	// unacked window (default 2 x BatchSize).
 	BatchSize   int
 	MaxInflight int
 
@@ -68,17 +63,39 @@ type UplinkConfig struct {
 	PollEvery time.Duration
 
 	// Reconnect backoff, as in ForwarderConfig.
-	InitialBackoff    time.Duration // default 50ms
-	MaxBackoff        time.Duration // default 5s
-	BackoffMultiplier float64       // default 2.0
-	Jitter            float64       // default 0.2
-	DialTimeout       time.Duration // default 2s
+	InitialBackoff time.Duration // default 50ms
+	MaxBackoff     time.Duration // default 5s
+	DialTimeout    time.Duration // default 2s
 
 	// Seed seeds the backoff jitter stream (0 derives from the clock).
 	Seed uint64
 }
 
-func (cfg *UplinkConfig) setDefaults() {
+// UplinkStats is a snapshot of an uplink's counters plus its consumer's
+// delivery state.
+type UplinkStats struct {
+	Sent      uint64 // messages written and acked
+	Naks      uint64 // send failures handed back for redelivery
+	Oversize  uint64 // messages too large for any frame, acked unsent
+	Dials     uint64
+	Connected bool
+	Active    string // address currently uplinked to (or dialed next)
+	Switches  uint64 // upstream changes (primary<->standby, both directions)
+	Consumer  streams.ConsumerStats
+}
+
+// NewStreamUplink claims (or resumes) the durable consumer on s and
+// starts the delivery worker. The first connection is dialed lazily.
+func NewStreamUplink(s *streams.DurableStream, cfg UplinkConfig) (*StreamUplink, error) {
+	if s == nil {
+		return nil, errors.New("ldms: uplink needs a stream")
+	}
+	if cfg.Addr == "" {
+		return nil, errors.New("ldms: uplink needs an address")
+	}
+	if cfg.Standby == cfg.Addr {
+		return nil, errors.New("ldms: uplink standby equals its address")
+	}
 	if cfg.Consumer == "" {
 		cfg.Consumer = "uplink"
 	}
@@ -94,46 +111,6 @@ func (cfg *UplinkConfig) setDefaults() {
 	if cfg.PollEvery <= 0 {
 		cfg.PollEvery = 10 * time.Millisecond
 	}
-	if cfg.InitialBackoff <= 0 {
-		cfg.InitialBackoff = 50 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
-	}
-	if cfg.BackoffMultiplier < 1 {
-		cfg.BackoffMultiplier = 2.0
-	}
-	if cfg.Jitter <= 0 || cfg.Jitter > 1 {
-		cfg.Jitter = 0.2
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = uint64(time.Now().UnixNano())
-	}
-}
-
-// UplinkStats is a snapshot of an uplink's counters plus its consumer's
-// delivery state.
-type UplinkStats struct {
-	Sent      uint64 // frames written and acked
-	Naks      uint64 // send failures handed back for redelivery
-	Dials     uint64
-	Connected bool
-	Consumer  streams.ConsumerStats
-}
-
-// NewStreamUplink claims (or resumes) the durable consumer on s and
-// starts the delivery worker. The first connection is dialed lazily.
-func NewStreamUplink(s *streams.DurableStream, cfg UplinkConfig) (*StreamUplink, error) {
-	if s == nil {
-		return nil, errors.New("ldms: uplink needs a stream")
-	}
-	if cfg.Addr == "" {
-		return nil, errors.New("ldms: uplink needs an address")
-	}
-	cfg.setDefaults()
 	cons, err := s.Consumer(streams.ConsumerConfig{
 		Name:        cfg.Consumer,
 		Filter:      cfg.Filter,
@@ -143,23 +120,25 @@ func NewStreamUplink(s *streams.DurableStream, cfg UplinkConfig) (*StreamUplink,
 	if err != nil {
 		return nil, err
 	}
-	u := &StreamUplink{
-		cfg:    cfg,
-		stream: s,
-		cons:   cons,
-		jr:     rng.New(cfg.Seed),
-		done:   make(chan struct{}),
-	}
+	u := &StreamUplink{cfg: cfg, cons: cons, done: make(chan struct{})}
+	u.link = newLink(linkConfig{
+		addrs:          [2]string{cfg.Addr, cfg.Standby},
+		initialBackoff: cfg.InitialBackoff,
+		maxBackoff:     cfg.MaxBackoff,
+		dialTimeout:    cfg.DialTimeout,
+		seed:           cfg.Seed,
+	}, u.done, &u.wg)
 	u.wg.Add(1)
 	go u.run()
 	return u, nil
 }
 
-// run is the delivery worker: fetch a batch from the consumer, send each
-// frame, ack on success, nak (for immediate redelivery) on failure.
+// run is the delivery worker: fetch a round from the consumer, write it
+// as one batch frame, ack the round after the flush, or nak it (for
+// immediate redelivery) and back off when the link fails.
 func (u *StreamUplink) run() {
 	defer u.wg.Done()
-	backoff := u.cfg.InitialBackoff
+	var msgs []streams.Message
 	for {
 		select {
 		case <-u.done:
@@ -167,149 +146,60 @@ func (u *StreamUplink) run() {
 		default:
 		}
 		ds, err := u.cons.Fetch(u.cfg.BatchSize)
-		if err != nil || len(ds) == 0 {
-			// Closed consumer (replaced by a successor) ends the worker;
-			// an empty stream just waits for the next poll.
-			if err != nil {
-				return
-			}
-			if !u.pause(u.cfg.PollEvery) {
-				return
-			}
-			continue
-		}
-		failed := false
-		for _, d := range ds {
-			if failed {
-				// The link is down: hand the rest back without burning a
-				// dial attempt per message.
-				u.nak(d.Seq)
-				continue
-			}
-			if err := u.sendFrame(d.Msg); err != nil {
-				u.nak(d.Seq)
-				failed = true
-				continue
-			}
-			if err := u.cons.Ack(d.Seq); err != nil {
-				return // consumer replaced mid-flight
-			}
-			u.mu.Lock()
-			u.sent++
-			u.mu.Unlock()
-		}
-		if failed {
-			if !u.pause(u.jitter(backoff)) {
-				return
-			}
-			backoff = time.Duration(float64(backoff) * u.cfg.BackoffMultiplier)
-			if backoff > u.cfg.MaxBackoff {
-				backoff = u.cfg.MaxBackoff
-			}
-			continue
-		}
-		backoff = u.cfg.InitialBackoff
-	}
-}
-
-// nak hands one delivery back for redelivery, counting it.
-func (u *StreamUplink) nak(seq uint64) {
-	if u.cons.Nak(seq) == nil {
-		u.mu.Lock()
-		u.naks++
-		u.mu.Unlock()
-	}
-}
-
-// sendFrame writes one frame, dialing first if necessary; any error tears
-// the connection down for a fresh dial.
-func (u *StreamUplink) sendFrame(m streams.Message) error {
-	u.connMu.Lock()
-	defer u.connMu.Unlock()
-	if u.conn == nil {
-		// Refuse to dial once Close has fired: a late redial would spawn
-		// a monitor goroutine after wg.Wait already returned, leaking it
-		// (and the connection) past Close.
-		select {
-		case <-u.done:
-			return net.ErrClosed
-		default:
-		}
-		conn, err := net.DialTimeout("tcp", u.cfg.Addr, u.cfg.DialTimeout)
 		if err != nil {
-			return err
+			return // consumer replaced by a successor
 		}
-		u.conn = conn
-		u.bw = bufio.NewWriter(&countingWriter{w: conn, n: &u.wireBytes})
-		u.dials++
-		u.wg.Add(1)
-		go u.monitor(conn)
-	}
-	if err := WriteFrame(u.bw, m); err != nil {
-		u.teardownLocked()
-		return err
-	}
-	if err := u.bw.Flush(); err != nil {
-		u.teardownLocked()
-		return err
-	}
-	u.framesOut.Add(1)
-	return nil
-}
-
-// monitor marks the connection dead as soon as the peer closes it. Close
-// joins it through wg after teardownLocked unblocks the Read.
-func (u *StreamUplink) monitor(conn net.Conn) {
-	defer u.wg.Done()
-	var b [1]byte
-	conn.Read(b[:]) // blocks until close/reset (server sends nothing)
-	u.connMu.Lock()
-	if u.conn == conn {
-		u.teardownLocked()
-	}
-	u.connMu.Unlock()
-}
-
-// teardownLocked closes and forgets the connection (connMu held).
-func (u *StreamUplink) teardownLocked() {
-	if u.conn != nil {
-		u.conn.Close()
-		u.conn = nil
-		u.bw = nil
-	}
-}
-
-// jitter scales d by a uniform factor in [1-Jitter, 1+Jitter).
-func (u *StreamUplink) jitter(d time.Duration) time.Duration {
-	u.connMu.Lock()
-	f := u.jr.Float64()
-	u.connMu.Unlock()
-	return time.Duration(float64(d) * (1 + u.cfg.Jitter*(2*f-1)))
-}
-
-// pause sleeps for d, returning false if the uplink closed meanwhile.
-func (u *StreamUplink) pause(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-u.done:
-		return false
+		if len(ds) == 0 {
+			if !u.link.pause(u.cfg.PollEvery) {
+				return
+			}
+			continue
+		}
+		msgs = msgs[:0]
+		for _, d := range ds {
+			msgs = append(msgs, d.Msg)
+		}
+		oversize, err := u.link.write(msgs)
+		// Oversize messages are settled either way: acked, counted, and
+		// never refetched.
+		for i, d := range ds {
+			if len(oversize) > 0 && oversize[0] == i {
+				oversize = oversize[1:]
+				if u.cons.Ack(d.Seq) == nil {
+					u.oversize.Add(1)
+				}
+				continue
+			}
+			if err != nil {
+				if u.cons.Nak(d.Seq) == nil {
+					u.naks.Add(1)
+				}
+				continue
+			}
+			if u.cons.Ack(d.Seq) != nil {
+				return // consumer closed mid-flight
+			}
+			u.sent.Add(1)
+		}
+		if err != nil && !u.link.wait() {
+			return
+		}
 	}
 }
 
 // Stats returns a snapshot of the uplink's counters.
 func (u *StreamUplink) Stats() UplinkStats {
-	u.mu.Lock()
-	st := UplinkStats{Sent: u.sent, Naks: u.naks}
-	u.mu.Unlock()
-	u.connMu.Lock()
-	st.Dials = u.dials
-	st.Connected = u.conn != nil
-	u.connMu.Unlock()
-	st.Consumer = u.cons.Stats()
-	return st
+	ls := u.link.stats()
+	return UplinkStats{
+		Sent:      u.sent.Load(),
+		Naks:      u.naks.Load(),
+		Oversize:  u.oversize.Load(),
+		Dials:     ls.Dials,
+		Connected: ls.Connected,
+		Active:    ls.Active,
+		Switches:  ls.Switches,
+		Consumer:  u.cons.Stats(),
+	}
 }
 
 // Flush waits until the consumer has caught up with the stream head
@@ -332,21 +222,14 @@ func (u *StreamUplink) Flush(timeout time.Duration) error {
 // survives: a successor uplink with the same consumer name resumes where
 // this one stopped.
 func (u *StreamUplink) Close() error {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return nil
-	}
-	u.closed = true
-	close(u.done)
-	u.mu.Unlock()
-	// Tear the connection down BEFORE joining the WaitGroup: the monitor
-	// goroutine sits in conn.Read and only returns once the socket
-	// closes, so the old wait-then-teardown order would deadlock here.
-	u.connMu.Lock()
-	u.teardownLocked()
-	u.connMu.Unlock()
-	u.wg.Wait()
-	u.cons.Close()
+	u.closeOnce.Do(func() {
+		close(u.done)
+		// Tear the connection down BEFORE joining the WaitGroup: the
+		// monitor goroutine sits in conn.Read and only returns once the
+		// socket closes, so a wait-then-teardown order would deadlock.
+		u.link.close()
+		u.wg.Wait()
+		u.cons.Close()
+	})
 	return nil
 }

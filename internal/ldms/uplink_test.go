@@ -192,3 +192,101 @@ func TestStreamUplinkConfigValidation(t *testing.T) {
 		t.Fatal("addressless uplink accepted")
 	}
 }
+
+func TestStreamUplinkStandbyValidation(t *testing.T) {
+	s := openTestStream(t, sos.NewMemWAL())
+	if _, err := NewStreamUplink(s, UplinkConfig{Addr: "a:1", Standby: "a:1"}); err == nil {
+		t.Fatal("standby == primary accepted")
+	}
+}
+
+// TestStreamUplinkFailsOverToStandby kills the primary aggregator
+// mid-stream and checks the full backlog lands on the standby with the
+// consumer's ack floor intact: the durable cursor survives the re-home,
+// so nothing acked is re-sent from zero and nothing unacked is dropped.
+func TestStreamUplinkFailsOverToStandby(t *testing.T) {
+	prim := NewDaemon("agg-primary", "head")
+	psrv, err := ListenTCP(prim, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pstore := &seqStore{}
+	prim.AttachStore("darshanConnector", pstore)
+
+	stby := NewDaemon("agg-standby", "head")
+	ssrv, err := ListenTCP(stby, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ssrv.Close()
+	sstore := &seqStore{}
+	stby.AttachStore("darshanConnector", sstore)
+
+	s := openTestStream(t, sos.NewMemWAL())
+	const n = 40
+	for i := 0; i < n/2; i++ {
+		appendSeq(t, s, i)
+	}
+	cfg := fastUplink(psrv.Addr())
+	cfg.Standby = ssrv.Addr()
+	u, err := NewStreamUplink(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+
+	waitFor(t, "first half on primary", func() bool { return len(pstore.Seqs()) >= n/2 })
+	psrv.Close() // primary dies; dials start failing
+
+	for i := n / 2; i < n; i++ {
+		appendSeq(t, s, i)
+	}
+	waitFor(t, "failover to standby", func() bool { return u.Stats().Active == ssrv.Addr() })
+	waitFor(t, "second half on standby", func() bool { return len(sstore.Seqs()) >= n/2 })
+
+	st := u.Stats()
+	if st.Switches != 1 {
+		t.Fatalf("switches = %d", st.Switches)
+	}
+	if st.Consumer.AckFloor != n {
+		t.Fatalf("ack floor %d, want %d", st.Consumer.AckFloor, n)
+	}
+	// Union of both aggregators covers every sequence number.
+	got := map[int]bool{}
+	for _, q := range pstore.Seqs() {
+		got[q] = true
+	}
+	for _, q := range sstore.Seqs() {
+		got[q] = true
+	}
+	for i := 0; i < n; i++ {
+		if !got[i] {
+			t.Fatalf("seq %d reached neither aggregator", i)
+		}
+	}
+}
+
+// TestStreamUplinkFailoverCloseIsClean checks an uplink with a standby
+// shuts down (Close blocks on the waitgroup, so returning at all is the
+// proof) and that Close is idempotent.
+func TestStreamUplinkFailoverCloseIsClean(t *testing.T) {
+	prim := NewDaemon("p", "head")
+	psrv, err := ListenTCP(prim, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer psrv.Close()
+	s := openTestStream(t, sos.NewMemWAL())
+	cfg := fastUplink(psrv.Addr())
+	cfg.Standby = "127.0.0.1:1"
+	u, err := NewStreamUplink(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Close(); err != nil {
+		t.Fatal(err) // idempotent
+	}
+}
