@@ -114,14 +114,14 @@ fuzz-smoke:
 fuzz-corpus:
 	$(GO) run ./cmd/dlc-fuzzcorpus -root .
 
-# Race-detector sweep over the concurrent planes (durable streams, TCP
-# transport + both reconnecting senders, including their churn/Close
-# goroutine-lifecycle and failover switch-back tests, DSOS,
-# observability). -count=1 defeats
+# Race-detector sweep over the concurrent planes (durable streams and
+# their segment formats, typed records, TCP transport + both reconnecting
+# senders, including their churn/Close goroutine-lifecycle and failover
+# switch-back tests, DSOS, observability). -count=1 defeats
 # the test cache so every run actually races; -short keeps soak
 # iterations CI-sized (CI runs this too, as its own matrix leg).
 race-smoke:
-	$(GO) test -race -count=1 -short ./internal/streams ./internal/ldms ./internal/dsos ./internal/obs ./internal/topo
+	$(GO) test -race -count=1 -short ./internal/streams ./internal/event ./internal/ldms ./internal/dsos ./internal/obs ./internal/topo
 
 # The end-to-end benchmark (e2ebench/, its own module over this one)
 # wires the daemons from their public constructors; vetting and testing it

@@ -15,6 +15,7 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -138,13 +139,21 @@ func main() {
 	write(sp, "FuzzRestore", "corrupt-tail", corrupt(snap, len(snap)-4))
 	write(sp, "FuzzRestore", "hostile-count-region",
 		append(append([]byte{}, snap[:16]...), bytes.Repeat([]byte{0xFF}, 32)...))
+	write(sp, "FuzzRestore", "hostile-object-count", hostileSnapshot(snap[:12]))
 
 	// --- streams.FuzzStreamCursor: durable segment recovery + cursor resume ---
 	// The first two bytes of each seed are the consumer StartSeq the target
 	// derives; the rest is segment (or record-body) bytes.
 	sm := "internal/streams"
-	seg := validSegment()
+	seg := validSegment(7)
 	write(sm, "FuzzStreamCursor", "valid-segment", append([]byte{2, 0}, seg...))
+	// Typed records are persisted as binary bodies: a segment of body
+	// records, one torn inside a body, and an old JSON segment that a
+	// newer process continued with bodies.
+	bseg := validSegment(1)
+	write(sm, "FuzzStreamCursor", "binary-body-segment", append([]byte{2, 0}, bseg...))
+	write(sm, "FuzzStreamCursor", "binary-body-torn", append([]byte{1, 0}, bseg[:len(bseg)*2/3]...))
+	write(sm, "FuzzStreamCursor", "json-then-binary-segment", append([]byte{3, 0}, validSegment(4)...))
 	write(sm, "FuzzStreamCursor", "torn-tail", append([]byte{1, 0}, seg[:len(seg)*3/4]...))
 	write(sm, "FuzzStreamCursor", "corrupt-mid-record", append([]byte{0, 0}, corrupt(seg, len(seg)/2)...))
 	write(sm, "FuzzStreamCursor", "future-start-seq", append([]byte{0xFF, 0xFF}, seg...))
@@ -218,8 +227,10 @@ func main() {
 
 // validSegment builds a durable-stream segment through the public API: six
 // appends under count retention (drop markers), a consumer acking three
-// (cursor records), then the raw segment bytes.
-func validSegment() []byte {
+// (cursor records), then the raw segment bytes. Messages from the
+// typedFrom-th on are typed records, which the stream stores as binary
+// bodies; the ones before are literal JSON payloads.
+func validSegment(typedFrom int) []byte {
 	wal := sos.NewMemWAL()
 	s, err := streams.OpenStream(streams.StreamConfig{
 		Name:      "seed",
@@ -230,11 +241,18 @@ func validSegment() []byte {
 		fatal(err)
 	}
 	for i := 1; i <= 6; i++ {
-		if _, err := s.Append(streams.Message{
+		m := streams.Message{
 			Tag: "darshan.nid00040.POSIX", Type: streams.TypeJSON,
-			Data:     []byte(fmt.Sprintf(`{"n":%d}`, i)),
 			Producer: "nid00040", Seq: uint64(i),
-		}); err != nil {
+		}
+		if i >= typedFrom {
+			msg := sampleJSONMsg()
+			msg.Seq = uint64(i)
+			m.Record = event.NewRecord(&msg, nil)
+		} else {
+			m.Data = []byte(fmt.Sprintf(`{"n":%d}`, i))
+		}
+		if _, err := s.Append(m); err != nil {
 			fatal(err)
 		}
 	}
@@ -286,6 +304,34 @@ func corrupt(data []byte, i int) []byte {
 	out := append([]byte{}, data...)
 	out[i] ^= 0xFF
 	return out
+}
+
+// hostileSnapshot is a well-formed snapshot header (magic taken from a
+// real snapshot) declaring one schema with 2^32 objects, and then no
+// objects: Restore must fail on the missing data without first reserving
+// room for the declared count.
+func hostileSnapshot(magic []byte) []byte {
+	var body bytes.Buffer
+	u64 := func(v uint64) { body.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	str := func(s string) { u64(uint64(len(s))); body.WriteString(s) }
+	str("c")
+	u64(1) // next object id
+	u64(1) // schemas
+	str("s")
+	u64(1) // attributes
+	str("a")
+	u64(uint64(sos.TypeInt64))
+	u64(1 << 32) // objects
+	var buf bytes.Buffer
+	buf.Write(magic)
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(body.Bytes()); err != nil {
+		fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // gzipEnvelope wraps payload in the log container framing (magic,

@@ -34,7 +34,9 @@
 // -stream upgrades the daemon to durable streaming: every handled message
 // whose subject matches -stream-subjects (comma list, wildcards allowed;
 // default the -tag) is appended to a CRC-framed segment file before
-// best-effort fan-out, retained under the -stream-max-* bounds, and — when
+// best-effort fan-out (typed connector events as their compact binary
+// record, raw JSON publishes as their bytes), retained under the
+// -stream-max-* bounds, and — when
 // -forward is also set — shipped upstream by a consumer-acked uplink: each
 // fetch round goes out as one batch frame and is acked once that frame is
 // flushed to the local socket. The durable cursor (named by
@@ -43,6 +45,10 @@
 // acked. An ack does not yet mean stored: a frame flushed into a
 // connection that dies before the peer reads it is acked but lost.
 // -stream supersedes -reconnect for the uplink (the stream is the spool).
+// An older ldmsd truncates a segment this version wrote at its first
+// binary record, losing the messages and cursors after it: before a
+// downgrade, drain every consumer to the head, stop the daemon and move
+// the segment file aside.
 //
 // -topo-role places the daemon in the explicit aggregation tree of the
 // scale-out control plane: node (leaf), l1 or l2 (aggregation levels).
@@ -94,10 +100,10 @@ func main() {
 	batchBytes := flag.Int("batch-bytes", 0, "max payload bytes per batched uplink frame (0 = unbounded)")
 	batchAge := flag.Duration("batch-age", 0, "max linger before a partial batch is flushed (0 = no linger)")
 	seed := flag.Uint64("seed", 0, "sampler RNG seed; 0 derives one from the wall clock (nonreproducible)")
-	streamPath := flag.String("stream", "", "durable stream segment file; enables persistent, replayable streaming (empty = off)")
+	streamPath := flag.String("stream", "", "durable stream segment file; enables persistent, replayable streaming (empty = off; an older ldmsd truncates a segment this version wrote)")
 	streamSubjects := flag.String("stream-subjects", "", "comma list of subject filters the stream captures (wildcards allowed; default the -tag)")
 	streamMaxMsgs := flag.Int("stream-max-msgs", 100000, "stream retention: max retained messages (0 = unbounded)")
-	streamMaxBytes := flag.Int64("stream-max-bytes", 0, "stream retention: max retained payload bytes (0 = unbounded)")
+	streamMaxBytes := flag.Int64("stream-max-bytes", 0, "stream retention: max retained bytes of stored message bodies (0 = unbounded)")
 	streamMaxAge := flag.Duration("stream-max-age", 0, "stream retention: max retained message age (0 = unbounded)")
 	streamConsumer := flag.String("stream-consumer", "uplink", "durable consumer name for the stream uplink cursor")
 	topoRole := flag.String("topo-role", "", "aggregation-tree role: node, l1 or l2 (empty = no topology plane)")

@@ -9,6 +9,7 @@ import (
 	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/ldms"
 	"darshanldms/internal/rng"
+	"darshanldms/internal/sos"
 	"darshanldms/internal/streams"
 )
 
@@ -126,6 +127,108 @@ func TestGoldenIngestTypedMatchesParsePath(t *testing.T) {
 		}
 		if !reflect.DeepEqual(qa, qb) {
 			t.Fatalf("repl=%d: indexed query results differ", repl)
+		}
+	}
+}
+
+// TestGoldenIngestDurableEntriesMatchTypedPath stores one corpus three
+// ways through ldms.DSOSStore — the typed record directly, a durable
+// stream's JSON-payload entry, and a durable stream's binary-body entry —
+// and requires identical rows on every shard and in indexed queries.
+func TestGoldenIngestDurableEntriesMatchTypedPath(t *testing.T) {
+	msgs := goldenMessages(200)
+	envelope := func(m *jsonmsg.Message) streams.Message {
+		return streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Producer: m.ProducerName, Seq: m.Seq}
+	}
+	// through appends every message to a durable stream, then fetches and
+	// stores them with acks, as dsosd's -stream ingest loop does.
+	through := func(store ldms.StorePlugin, build func(*jsonmsg.Message) streams.Message) {
+		s, err := streams.OpenStream(streams.StreamConfig{Name: "ingest"}, sos.NewMemWAL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			if _, err := s.Append(build(m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := s.Consumer(streams.ConsumerConfig{Name: "ingest", MaxInflight: len(msgs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := c.Fetch(len(msgs))
+		if err != nil || len(ds) != len(msgs) {
+			t.Fatalf("fetched %d of %d: %v", len(ds), len(msgs), err)
+		}
+		for _, d := range ds {
+			if err := store.Store(d.Msg); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Ack(d.Seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	typedC, typedCl := newGoldenCluster(t, 4, 2)
+	typed := ldms.NewDSOSStore(typedCl)
+	for _, m := range msgs {
+		sm := envelope(m)
+		sm.Record = event.NewRecord(m, nil)
+		if err := typed.Store(sm); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	jsonC, jsonCl := newGoldenCluster(t, 4, 2)
+	through(ldms.NewDSOSStore(jsonCl), func(m *jsonmsg.Message) streams.Message {
+		sm := envelope(m)
+		sm.Data = jsonmsg.FastEncoder{}.Encode(m)
+		return sm
+	})
+
+	binC, binCl := newGoldenCluster(t, 4, 2)
+	var encoded []*event.Record
+	through(ldms.NewDSOSStore(binCl), func(m *jsonmsg.Message) streams.Message {
+		sm := envelope(m)
+		r := event.NewRecord(m, nil)
+		encoded = append(encoded, r)
+		sm.Record = r
+		return sm
+	})
+	for _, r := range encoded {
+		if r.Encoded() {
+			t.Fatal("the binary-body path JSON-encoded a record")
+		}
+	}
+
+	for name, c := range map[string]*dsos.Cluster{"json-entry": jsonC, "binary-entry": binC} {
+		a, b := typedC.Daemons(), c.Daemons()
+		for i := range a {
+			ra, err := a[i].Container().Range("job_rank_time", nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := b[i].Container().Range("job_rank_time", nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ra) == 0 || !reflect.DeepEqual(ra, rb) {
+				t.Fatalf("%s: daemon %d rows differ from the typed path (%d vs %d objects)", name, i, len(rb), len(ra))
+			}
+		}
+	}
+	qa, err := typedCl.Query("job_rank_time", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cl := range map[string]*dsos.Client{"json-entry": jsonCl, "binary-entry": binCl} {
+		qb, err := cl.Query("job_rank_time", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(qa, qb) {
+			t.Fatalf("%s: indexed query results differ from the typed path", name)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func TestRecordCountEncodes(t *testing.T) {
 func TestFromPayloadParsesLazilyAndOnce(t *testing.T) {
 	payload := jsonmsg.FastEncoder{}.Encode(sampleMessage())
 	r := FromPayload(payload)
-	if got := r.TypedFields(); got != nil {
+	if r.msg != nil {
 		t.Fatalf("bytes-first record has fields before any Fields call")
 	}
 	m1, err := r.Fields()

@@ -15,6 +15,7 @@
 package event
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -27,7 +28,9 @@ import (
 // payload. It is bidirectional: a record built from typed fields
 // (NewRecord) encodes JSON at most once, on the first Payload call; a
 // record built from wire bytes (FromPayload) parses at most once, on the
-// first Fields call. Either way the other representation is cached, so a
+// first Fields call; a record built from a binary body (FromBody, what a
+// durable stream hands back) decodes at most once, on the first Fields
+// or Payload call. Either way the other representation is cached, so a
 // message fanned out to N stores pays for at most one conversion total —
 // the old pipeline paid one encode at the connector plus one parse per
 // store.
@@ -36,10 +39,11 @@ import (
 // to multiple goroutines.
 type Record struct {
 	mu      sync.Mutex
-	msg     *jsonmsg.Message // typed fields; nil until first Fields on a bytes-first record
+	msg     *jsonmsg.Message // typed fields; nil until first Fields on a bytes- or body-first record
 	codec   jsonmsg.Encoder  // renders msg; nil defaults to FastEncoder
 	payload []byte           // cached wire bytes; nil until first Payload on a typed-first record
-	err     error            // sticky parse error of a bytes-first record
+	body    []byte           // compact binary body of a body-first record (FromBody)
+	err     error            // sticky parse or decode error of a bytes- or body-first record
 	counter *atomic.Uint64   // optional: counts bytes actually encoded
 	spans   []obs.Span       // hop trace; only grows while obs tracing is on
 	slab    *Slab            // non-nil for slab-owned records (Slab.Wrap); see DetachCarrier
@@ -60,6 +64,21 @@ func FromPayload(data []byte) *Record {
 	return &Record{payload: data}
 }
 
+// FromBody builds a body-first record around a compact binary body (the
+// AppendMessage layout), the form a durable stream persists typed
+// records in. The bytes are retained, not copied. Fields decodes them on
+// first use; Payload renders FastEncoder JSON from the decoded fields;
+// AppendBody hands them on verbatim.
+func FromBody(body []byte) *Record {
+	return &Record{body: body}
+}
+
+// Durable streams hand persisted binary bodies back as body-first
+// records.
+func init() {
+	streams.RegisterBodyCodec(func(body []byte) streams.Carrier { return FromBody(body) })
+}
+
 // CountEncodes registers an optional counter that is credited with
 // len(payload) each time a lazy encode actually happens (the connector
 // uses this for its bytes-encoded statistic). Returns the record.
@@ -75,6 +94,9 @@ func (r *Record) CountEncodes(c *atomic.Uint64) *Record {
 func (r *Record) Payload() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.payload == nil && r.msg == nil && r.body != nil && r.err == nil {
+		r.decodeLocked()
+	}
 	if r.payload == nil && r.msg != nil {
 		codec := r.codec
 		if codec == nil {
@@ -88,26 +110,53 @@ func (r *Record) Payload() []byte {
 	return r.payload
 }
 
-// Fields returns the typed message, parsing the wire bytes on first use
-// for a bytes-first record. The result is shared and cached — callers
+// Fields returns the typed message, decoding the binary body or parsing
+// the wire bytes on first use. The result is shared and cached — callers
 // must not mutate it.
 func (r *Record) Fields() (*jsonmsg.Message, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.msg == nil && r.err == nil {
-		r.msg, r.err = jsonmsg.Parse(r.payload)
+		r.decodeLocked()
 	}
 	return r.msg, r.err
 }
 
-// TypedFields returns the typed message only if it is already
-// materialized (typed-first record, or bytes-first after a successful
-// Fields). It never triggers a parse; the batch codec uses it to decide
-// between the compact typed encoding and opaque payload bytes.
-func (r *Record) TypedFields() *jsonmsg.Message {
+// errBodyTrailing reports a binary body longer than the record it holds.
+var errBodyTrailing = errors.New("event: trailing bytes after binary body")
+
+// decodeLocked materializes the typed fields from the body, or else the
+// JSON payload, caching a failure as the sticky error (r.mu held).
+func (r *Record) decodeLocked() {
+	if r.body == nil {
+		r.msg, r.err = jsonmsg.Parse(r.payload)
+		return
+	}
+	m, n, err := DecodeMessage(r.body)
+	if err == nil && n != len(r.body) {
+		err = errBodyTrailing
+	}
+	if err != nil {
+		r.err = err
+		return
+	}
+	r.msg = m
+}
+
+// AppendBody implements streams.BodyCarrier: it appends the record's
+// compact binary body to b — verbatim for a body-first record, encoded
+// from the fields otherwise — and reports false, leaving b unchanged,
+// when the record only holds wire bytes it has not parsed.
+func (r *Record) AppendBody(b []byte) ([]byte, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.msg
+	switch {
+	case r.body != nil:
+		return append(b, r.body...), true
+	case r.msg != nil:
+		return AppendMessage(b, r.msg), true
+	}
+	return b, false
 }
 
 // Encoded reports whether wire bytes are already materialized, without
@@ -147,8 +196,8 @@ func (r *Record) DetachCarrier() streams.Carrier {
 }
 
 // Fields extracts the typed message from a streams message whatever its
-// carrier form: the cached typed record when present, otherwise a parse
-// of the literal payload bytes (the legacy path, kept for raw
+// carrier form: the record's cached (or body-decoded) fields when present,
+// otherwise a parse of the literal payload bytes (the legacy path, kept for raw
 // PublishJSON publishers and peers that speak only JSON frames).
 func Fields(m streams.Message) (*jsonmsg.Message, error) {
 	if r, ok := m.Record.(*Record); ok {

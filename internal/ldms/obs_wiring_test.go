@@ -223,8 +223,11 @@ func TestDsosdMetricsEndpointShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Wait on the store's own message counter, the value asserted below:
+	// client.Count counts each replica at R=2, so it reaches 10 while
+	// messages are still being stored.
 	deadline := time.Now().Add(5 * time.Second)
-	for client.Count(dsos.DarshanSchemaName) < 10 && time.Now().Before(deadline) {
+	for reg.Value("dlc_store_dsos_messages_total") < 10 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 

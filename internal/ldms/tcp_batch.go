@@ -8,7 +8,6 @@ import (
 	"io"
 
 	"darshanldms/internal/event"
-	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/streams"
 )
 
@@ -31,9 +30,10 @@ import (
 //	            recTyped:  compact binary record (event.AppendMessage)
 //	            recOpaque: uvarint length + payload bytes
 //
-// Typed records whose fields are materialized travel in the compact
-// binary form — no JSON is produced on either side; records that only
-// have bytes (raw publishers, lossy-encoder placeholders) travel opaque.
+// Typed records travel in the compact binary form — no JSON is produced
+// on either side, and a body a durable stream persisted is copied in
+// verbatim; records that only have bytes (raw publishers, lossy-encoder
+// placeholders) travel opaque.
 const (
 	batchMagic   = 0xBB
 	batchVersion = 1
@@ -76,24 +76,19 @@ func AppendBatch(b []byte, msgs []streams.Message) []byte {
 	b = binary.AppendUvarint(b, uint64(len(msgs)))
 	for i := range msgs {
 		m := &msgs[i]
-		var fields *jsonmsg.Message
-		if r, ok := m.Record.(*event.Record); ok {
-			fields = r.TypedFields()
-		}
-		if fields != nil {
-			b = append(b, recTyped)
-			b = appendBatchString(b, m.Tag)
-			b = binary.AppendUvarint(b, uint64(m.Type))
-			b = appendBatchString(b, m.Producer)
-			b = binary.AppendUvarint(b, m.Seq)
-			b = event.AppendMessage(b, fields)
-			continue
-		}
-		b = append(b, recOpaque)
+		kind := len(b)
+		b = append(b, recTyped)
 		b = appendBatchString(b, m.Tag)
 		b = binary.AppendUvarint(b, uint64(m.Type))
 		b = appendBatchString(b, m.Producer)
 		b = binary.AppendUvarint(b, m.Seq)
+		if bc, ok := m.Record.(streams.BodyCarrier); ok {
+			var typed bool
+			if b, typed = bc.AppendBody(b); typed {
+				continue
+			}
+		}
+		b[kind] = recOpaque
 		payload := m.Payload()
 		b = binary.AppendUvarint(b, uint64(len(payload)))
 		b = append(b, payload...)

@@ -65,12 +65,13 @@ func TestBatchFrameRoundTripMixed(t *testing.T) {
 	// value-identical fields.
 	for _, i := range []int{0, 3} {
 		r, ok := out[i].Record.(*event.Record)
-		if !ok || r.TypedFields() == nil {
+		if !ok || r.Encoded() {
 			t.Fatalf("message %d did not arrive typed", i)
 		}
+		got, err := r.Fields()
 		want, _ := event.Fields(in[i])
-		if !reflect.DeepEqual(r.TypedFields(), want) {
-			t.Fatalf("typed fields %d mismatch:\n got %+v\nwant %+v", i, r.TypedFields(), want)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("typed fields %d mismatch (%v):\n got %+v\nwant %+v", i, err, got, want)
 		}
 	}
 	if !bytes.Equal(out[1].Data, in[1].Data) || !bytes.Equal(out[2].Data, in[2].Data) {

@@ -96,6 +96,9 @@ func (c *Container) Snapshot(w io.Writer) error {
 	return zw.Close()
 }
 
+// snapPrealloc caps how many objects Restore reserves room for up front.
+const snapPrealloc = 1 << 16
+
 // Restore reads a container snapshot written by Snapshot (either format).
 func Restore(r io.Reader) (*Container, error) {
 	magic := make([]byte, len(snapMagic))
@@ -149,10 +152,13 @@ func Restore(r io.Reader) (*Container, error) {
 		if nObjs > 1<<32 {
 			return nil, fmt.Errorf("sos: implausible object count %d", nObjs)
 		}
-		slab := make([]Object, 0, nObjs)
+		// The count is only a hint until the objects are read: a hostile
+		// header must not reserve gigabytes, so the slab grows as they come.
+		hint := min(nObjs, snapPrealloc)
+		slab := make([]Object, 0, hint)
 		var origins []uint64
 		if withOrigins {
-			origins = make([]uint64, 0, nObjs)
+			origins = make([]uint64, 0, hint)
 		}
 		for j := uint64(0); j < nObjs; j++ {
 			obj := make(Object, len(attrs))

@@ -31,7 +31,7 @@ import (
 // accounting is exact across crashes.
 type RetentionPolicy struct {
 	MaxMsgs  int           // retained message count bound (0 = unbounded)
-	MaxBytes int64         // retained payload byte bound (0 = unbounded)
+	MaxBytes int64         // retained stored-body byte bound (0 = unbounded)
 	MaxAge   time.Duration // retained message age bound (0 = unbounded)
 }
 
@@ -62,7 +62,7 @@ type StreamStats struct {
 	FirstSeq   uint64 // oldest retained sequence (LastSeq+1 when empty)
 	LastSeq    uint64 // newest appended sequence (0 before the first)
 	Msgs       int    // retained message count
-	Bytes      int64  // retained payload bytes
+	Bytes      int64  // retained stored bytes: binary bodies and literal payloads
 	Appended   uint64 // messages ever appended (== LastSeq)
 	Dropped    uint64 // messages evicted by retention, total
 	DroppedFor [int(dropReasons)]uint64
@@ -86,6 +86,8 @@ type DurableStream struct {
 	consumers map[string]*Consumer
 	floors    map[string]uint64 // durable acked floors, incl. unclaimed
 	waiters   *sync.Cond        // signaled on append, for blocking fetches
+
+	scratch []byte // reused body and record encode buffer (s.mu held)
 }
 
 // OpenStream opens (creating if empty) the durable stream backed by
@@ -149,7 +151,11 @@ func (s *DurableStream) applyReplay(body []byte) error {
 		return sos.ErrStopReplay
 	}
 	switch body[0] {
-	case segKindMsg:
+	case segKindMsg, segKindBody:
+		if body[0] == segKindBody && bodyCodec == nil {
+			// Not a torn tail: stopping here would truncate good records.
+			return fmt.Errorf("segment holds binary bodies and no body codec is registered")
+		}
 		e, err := decodeMsgEntry(body)
 		if err != nil || e.seq != s.lastSeq+1 {
 			return sos.ErrStopReplay // corrupt or out-of-order: torn tail
@@ -200,10 +206,11 @@ func (s *DurableStream) Matches(subject string) bool {
 }
 
 // Append durably appends one message and returns its assigned sequence.
-// The message is persisted — and its lazy payload therefore encoded, this
-// being a text boundary like the TCP wire — before the sequence is
-// returned; an error means nothing was appended and the caller still owns
-// the message's fate.
+// The message is persisted before the sequence is returned; an error
+// means nothing was appended and the caller still owns the message's
+// fate. A message whose carrier has a binary body (a typed record) is
+// stored as that body and never rendered to JSON; one that only carries
+// bytes is stored as those bytes.
 func (s *DurableStream) Append(m Message) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -212,12 +219,22 @@ func (s *DurableStream) Append(m Message) (uint64, error) {
 		seq:      s.lastSeq + 1,
 		subject:  m.Tag,
 		mtype:    m.Type,
-		payload:  m.Payload(),
 		producer: m.Producer,
 		pseq:     m.Seq,
 		at:       now,
 	}
-	if err := sos.AppendFrame(s.store, encodeMsgEntry(e)); err != nil {
+	if bc, ok := m.Record.(BodyCarrier); ok && m.Data == nil && bodyCodec != nil {
+		if body, ok := bc.AppendBody(s.scratch[:0]); ok && len(body) > 0 {
+			e.payload = append([]byte(nil), body...)
+			e.body = true
+			s.scratch = body
+		}
+	}
+	if !e.body {
+		e.payload = m.Payload()
+	}
+	s.scratch = appendMsgEntry(s.scratch[:0], e)
+	if err := sos.AppendFrame(s.store, s.scratch); err != nil {
 		return 0, fmt.Errorf("streams: stream %q append: %w", s.cfg.Name, err)
 	}
 	s.lastSeq = e.seq

@@ -12,7 +12,7 @@ import (
 func fuzzSeg(floor uint64) *sos.MemWAL {
 	wal := sos.NewMemWAL()
 	for seq := uint64(1); seq <= 2; seq++ {
-		_ = sos.AppendFrame(wal, encodeMsgEntry(&entry{
+		_ = sos.AppendFrame(wal, appendMsgEntry(nil, &entry{
 			seq: seq, at: time.Duration(seq),
 			subject: "darshan.nid00040.posix", mtype: TypeJSON,
 			payload: []byte(`{"n":1}`), producer: "nid00040", pseq: seq,
@@ -30,8 +30,11 @@ func fuzzSeg(floor uint64) *sos.MemWAL {
 func FuzzStreamCursor(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0x01})
-	f.Add(append([]byte{1, 0}, encodeMsgEntry(&entry{
+	f.Add(append([]byte{1, 0}, appendMsgEntry(nil, &entry{
 		seq: 3, subject: "darshan.nid00040.posix", mtype: TypeJSON, payload: []byte(`{"n":3}`),
+	})...))
+	f.Add(append([]byte{1, 0}, appendMsgEntry(nil, &entry{
+		seq: 3, subject: "darshan.nid00040.posix", mtype: TypeJSON, payload: []byte("BIN3"), body: true,
 	})...))
 	f.Add(append([]byte{9, 9}, encodeCursorEntry("fz", 99)...))
 	f.Add(append([]byte{0, 0}, encodeDropEntry(DropByCount, 2)...))

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Durable-stream segment codec: the byte layout of the three record kinds
+// Durable-stream segment codec: the byte layout of the four record kinds
 // a DurableStream appends to its CRC-framed WAL segment (framing — length
 // prefix, CRC-32, torn-tail recovery — is sos.AppendFrame/ReplayFrames,
 // shared with the DSOS write-ahead log). Everything here is pure
@@ -20,9 +20,14 @@ import (
 //	              | u64 producerSeq | str subject | str producer | str payload
 //	cursor: 0x02 | u64 ackFloor | str consumer
 //	drop:   0x03 | u8 reason | u64 newFirstSeq
+//	body:   0x04 | same fields as msg, with the typed record's compact
+//	              binary body (event.AppendMessage) in place of the payload
 //
-// where str is a u32 length prefix plus that many bytes. A cursor record
-// checkpoints one consumer's acked floor; replay keeps the highest floor
+// where str is a u32 length prefix plus that many bytes. A msg record
+// holds literal payload bytes (PublishJSON, legacy peers); a body record
+// holds a typed record without ever rendering it to JSON, and the
+// registered body codec turns it back into a carrier on fetch. A cursor
+// record checkpoints one consumer's acked floor; replay keeps the highest floor
 // per consumer (floors are monotone, so "highest" and "latest" agree —
 // and replay enforces monotonicity rather than trusting file order). A
 // drop record makes a retention trim durable: replay discards buffered
@@ -34,6 +39,7 @@ const (
 	segKindMsg    = 0x01
 	segKindCursor = 0x02
 	segKindDrop   = 0x03
+	segKindBody   = 0x04
 )
 
 // DropReason says which retention bound evicted a message.
@@ -73,15 +79,21 @@ type entry struct {
 	producer string
 	pseq     uint64 // producer-assigned delivery identity (Message.Seq)
 	at       time.Duration
+	body     bool // payload is a binary body (segKindBody), not literal bytes
 }
 
 // message reconstructs the streams.Message the entry was appended from.
-// The payload is shared, not copied: segment entries are immutable.
+// The payload is shared, not copied: segment entries are immutable. A
+// body entry comes back as the registered codec's carrier, so its
+// Payload() still answers JSON and its fields decode without a parse.
 func (e *entry) message() Message {
-	return Message{
-		Tag: e.subject, Type: e.mtype, Data: e.payload,
-		Producer: e.producer, Seq: e.pseq,
+	m := Message{Tag: e.subject, Type: e.mtype, Producer: e.producer, Seq: e.pseq}
+	if e.body {
+		m.Record = bodyCodec(e.payload)
+	} else {
+		m.Data = e.payload
 	}
+	return m
 }
 
 func appendStr(b []byte, s string) []byte {
@@ -106,10 +118,13 @@ func takeStr(b []byte) (string, []byte, bool) {
 	return string(b[:n]), b[n:], true
 }
 
-// encodeMsgEntry renders a msg record body.
-func encodeMsgEntry(e *entry) []byte {
-	b := make([]byte, 0, 1+8+1+8+8+12+len(e.subject)+len(e.producer)+len(e.payload))
-	b = append(b, segKindMsg)
+// appendMsgEntry appends e's msg (or, for a body entry, body) record to b.
+func appendMsgEntry(b []byte, e *entry) []byte {
+	kind := byte(segKindMsg)
+	if e.body {
+		kind = segKindBody
+	}
+	b = append(b, kind)
 	b = binary.LittleEndian.AppendUint64(b, e.seq)
 	b = append(b, byte(e.mtype))
 	b = binary.LittleEndian.AppendUint64(b, uint64(e.at))
@@ -120,16 +135,16 @@ func encodeMsgEntry(e *entry) []byte {
 	return b
 }
 
-// decodeMsgEntry parses a msg record body (including the kind tag).
+// decodeMsgEntry parses a msg or body record (including the kind tag).
 func decodeMsgEntry(b []byte) (*entry, error) {
 	fail := fmt.Errorf("streams: short segment msg record")
 	if len(b) < 1+8+1+8+8 {
 		return nil, fail
 	}
-	if b[0] != segKindMsg {
-		return nil, fmt.Errorf("streams: segment record kind %d, want msg", b[0])
+	if b[0] != segKindMsg && b[0] != segKindBody {
+		return nil, fmt.Errorf("streams: segment record kind %d, want msg or body", b[0])
 	}
-	e := &entry{}
+	e := &entry{body: b[0] == segKindBody}
 	e.seq = binary.LittleEndian.Uint64(b[1:])
 	mt := b[9]
 	if mt > byte(TypeJSON) {
@@ -156,6 +171,9 @@ func decodeMsgEntry(b []byte) (*entry, error) {
 	}
 	if len(payload) > 0 {
 		e.payload = []byte(payload)
+	}
+	if e.body && len(e.payload) == 0 {
+		return nil, fmt.Errorf("streams: segment body record without a body")
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("streams: trailing bytes in segment msg record")

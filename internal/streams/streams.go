@@ -40,6 +40,28 @@ type Carrier interface {
 	Payload() []byte
 }
 
+// BodyCarrier is a carrier with a compact binary body, the form a
+// durable stream persists a typed record in instead of JSON.
+// *event.Record is the implementation; the bus only knows the contract.
+// AppendBody appends the body to b and reports whether there is one: a
+// carrier holding only received bytes answers false (returning b
+// unchanged), and its message keeps a JSON segment entry.
+type BodyCarrier interface {
+	Carrier
+	AppendBody(b []byte) ([]byte, bool)
+}
+
+// bodyCodec turns a persisted binary body back into a carrier; nil until
+// a codec registers.
+var bodyCodec func(body []byte) Carrier
+
+// RegisterBodyCodec installs the function durable streams use to turn a
+// persisted binary body back into a carrier (internal/event registers its
+// record decoder when it is initialized). Call it only during package
+// initialization. Without a codec a stream writes no body entries and
+// refuses to open a segment that holds some.
+func RegisterBodyCodec(fn func(body []byte) Carrier) { bodyCodec = fn }
+
 // Message is one published stream message. Producer and Seq, when set,
 // form the message's delivery identity: the connector stamps each message
 // with its producer (node) name and a per-producer sequence number so

@@ -191,8 +191,8 @@ func (h *HashCluster) InsertBatch(schema string, objs []sos.Object) error {
 	h.mu.Lock()
 	repl := h.cfg.Replication
 	type placement struct {
-		owners []*dsos.Daemon // serving owners (ack set)
-		staged []*dsos.Daemon // staged-only dests (fence set)
+		owners      []*dsos.Daemon // serving owners (ack set)
+		staged      []*dsos.Daemon // staged-only dests (fence set)
 		stagedNames []string
 	}
 	plan := make([]placement, len(objs))
@@ -321,7 +321,13 @@ func (h *HashCluster) Query(index string, from, to sos.Key) ([]sos.Object, dsos.
 			downSet[order[i]] = true
 		}
 	}
-	for _, g := range ring.Groups(repl) {
+	// Only a failed member can make a group unreadable, so the owner
+	// groups are consulted only when some member failed.
+	var groups [][]string
+	if len(downSet) > 0 {
+		groups = ring.Groups(repl)
+	}
+	for _, g := range groups {
 		allDown := true
 		for _, m := range g {
 			if !downSet[m] {
@@ -798,15 +804,18 @@ func (h *HashCluster) AuditPlacement() ([]string, error) {
 }
 
 // HashStore adapts a HashCluster to the ldms store-plugin contract
-// (Name/Store), parsing darshan segments out of connector messages. A
+// (Name/Store), turning connector messages into darshan rows. A
 // message whose owners are unreachable fails as a unit — admission is
 // checked for the whole batch before anything is written — so the
 // consumer-acked ingest pump naks it and redelivery cannot duplicate a
-// half-stored message.
+// half-stored message. Rows are built through a dsos.RowArena, as
+// ldms.DSOSStore builds them, so the mutex serializes stores.
 type HashStore struct {
 	h *HashCluster
 
 	mu        sync.Mutex
+	arena     *dsos.RowArena // row backings + cached boxes; made on first Store (guarded by mu)
+	objs      []sos.Object   // reused per-message row batch (guarded by mu)
 	stored    uint64
 	failed    uint64
 	unstamped uint64
@@ -821,25 +830,28 @@ func (s *HashStore) Name() string { return "dsos_hash" }
 // Store implements the store-plugin contract.
 func (s *HashStore) Store(m streams.Message) error {
 	msg, err := event.Fields(m)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err != nil {
-		s.mu.Lock()
 		s.unstamped++
-		s.mu.Unlock()
 		return nil // not a connector payload; nothing to place
 	}
-	objs := dsos.ObjectsFromMessage(msg)
-	if len(objs) == 0 {
+	// The insert is synchronous and keeps the rows, not the batch slice,
+	// so the slice is reused; the rows themselves are arena memory the
+	// store retains. The arena's caches are sized for steady ingest, so
+	// a store that never receives a message never pays for them.
+	if s.arena == nil {
+		s.arena = dsos.NewRowArena()
+	}
+	s.objs = s.arena.AppendObjects(s.objs[:0], msg)
+	if len(s.objs) == 0 {
 		return nil
 	}
-	if err := s.h.InsertBatch(dsos.DarshanSchemaName, objs); err != nil {
-		s.mu.Lock()
+	if err := s.h.InsertBatch(dsos.DarshanSchemaName, s.objs); err != nil {
 		s.failed++
-		s.mu.Unlock()
 		return err
 	}
-	s.mu.Lock()
-	s.stored += uint64(len(objs))
-	s.mu.Unlock()
+	s.stored += uint64(len(s.objs))
 	return nil
 }
 
